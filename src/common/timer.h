@@ -39,6 +39,15 @@ class Timer {
   /// Microseconds elapsed since construction or the last Restart().
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
+  /// Whole nanoseconds elapsed since construction or the last Restart();
+  /// exact integer differences, for stage splits that must add up.
+  uint64_t ElapsedNanos() const {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start_)
+            .count());
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -9,6 +9,8 @@ namespace fairbench {
 Status Dataset::AppendRow(const std::vector<double>& numeric_values,
                           const std::vector<int>& categorical_codes, int s,
                           int y, double weight) {
+  // Cleared up front: a failed append can leave a partial row behind.
+  fingerprint_.Clear();
   std::size_t num_numeric = 0;
   std::size_t num_categorical = 0;
   for (std::size_t c = 0; c < schema_.num_columns(); ++c) {

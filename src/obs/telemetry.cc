@@ -141,10 +141,16 @@ std::string EventLog::ToJsonl(const std::string& manifest_hash) const {
       out += ",\"cache\":" + JsonString(e->cache);
       out += StrFormat(",\"total_ns\":%llu",
                        static_cast<unsigned long long>(e->total_ns));
+      out += StrFormat(",\"key_ns\":%llu",
+                       static_cast<unsigned long long>(e->key_ns));
+      out += StrFormat(",\"lookup_ns\":%llu",
+                       static_cast<unsigned long long>(e->lookup_ns));
       out += StrFormat(",\"fit_ns\":%llu",
                        static_cast<unsigned long long>(e->fit_ns));
       out += StrFormat(",\"predict_ns\":%llu",
                        static_cast<unsigned long long>(e->predict_ns));
+      out += StrFormat(",\"sequence_ns\":%llu",
+                       static_cast<unsigned long long>(e->sequence_ns));
       if (e->has_deadline) {
         out += StrFormat(",\"deadline_slack_ns\":%lld",
                          static_cast<long long>(e->deadline_slack_ns));

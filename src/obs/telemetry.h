@@ -38,8 +38,15 @@ struct RequestEvent {
   std::string cache;          ///< "hit", "miss", or "shared" (single-flight
                               ///< waiter behind another fitter).
   uint64_t total_ns = 0;      ///< Admission to response.
+  /// Stage split of total_ns. The five stages are consecutive, so
+  /// key + lookup + fit + predict + sequence equals total_ns up to the
+  /// admission check and, for ScoreAsync, the time queued for a worker.
+  uint64_t key_ns = 0;        ///< Request setup + content key (memo load
+                              ///< once the training set is fingerprinted).
+  uint64_t lookup_ns = 0;     ///< Cache lookup, incl. single-flight wait.
   uint64_t fit_ns = 0;        ///< Model fit, 0 unless this request fitted.
-  uint64_t predict_ns = 0;
+  uint64_t predict_ns = 0;    ///< Batch scoring.
+  uint64_t sequence_ns = 0;   ///< Sequence stamp + observer delivery.
   bool has_deadline = false;
   int64_t deadline_slack_ns = 0;  ///< Budget left at completion; negative =
                                   ///< missed. Meaningless if !has_deadline.

@@ -21,6 +21,13 @@ namespace serve {
 /// datasets alive until the request finishes — for ScoreAsync, until the
 /// returned future resolves or the client is destroyed, whichever comes
 /// first (destruction drains pending requests, which still read them).
+///
+/// `train` is keyed by DatasetFingerprint, which the Dataset memoizes: it
+/// is hashed on its first request and every later request only loads the
+/// value. Changing the training set through its mutators re-keys it (the
+/// next request misses and refits). Writing through a `mutable_*`
+/// reference obtained *before* a Score and used after it bypasses that
+/// and leaves a stale key, like a stale iterator; see data/dataset.h.
 struct ScoreRequest {
   std::string approach_id;
   const Dataset* train = nullptr;  ///< Fit data (cache-miss path).
@@ -93,9 +100,10 @@ struct ClientStats {
 struct SwapRequest {
   std::string approach_id;
 
-  /// Borrowed; fingerprinted to form the cache key (and the routing key on
-  /// a sharded client) exactly like ScoreRequest::train, and used as the
-  /// refit data when `artifact` is empty.
+  /// Borrowed; fingerprinted (memoized, see ScoreRequest) to form the
+  /// cache key (and the routing key on a sharded client) exactly like
+  /// ScoreRequest::train, and used as the refit data when `artifact` is
+  /// empty.
   const Dataset* train = nullptr;
 
   /// Cache-key seed, resolved through RequestDefaults like

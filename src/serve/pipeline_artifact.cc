@@ -118,6 +118,8 @@ Result<Pipeline> LoadPipelineArtifact(const std::string& path) {
 }
 
 uint64_t DatasetFingerprint(const Dataset& dataset) {
+  const uint64_t memo = dataset.fingerprint_.Load();
+  if (memo != 0) return memo;
   uint64_t h = Fnv1a64("", 0);  // FNV offset basis.
   h = HashString(dataset.name(), h);
   h = HashString(dataset.sensitive_name(), h);
@@ -141,6 +143,9 @@ uint64_t DatasetFingerprint(const Dataset& dataset) {
   h = HashInts(dataset.sensitive(), h);
   h = HashInts(dataset.labels(), h);
   h = HashDoubles(dataset.weights(), h);
+  // Racing first callers store the same value; a true hash of 0 is simply
+  // recomputed next time.
+  dataset.fingerprint_.Store(h);
   return h;
 }
 

@@ -40,10 +40,13 @@ Result<Pipeline> LoadPipelineArtifact(const std::string& path);
 
 /// Order-sensitive fingerprint of a dataset's contents (schema, features,
 /// S, Y, weights); FNV-1a over the names, word-wise multiply-mix over the
-/// column data (recomputed per scoring request, so it must be fast). Two
-/// datasets with equal fingerprints are treated as the same training data
-/// by the scoring-service cache. Not persisted in artifacts — the value
-/// may change between builds without invalidating anything on disk.
+/// column data. Computed once per dataset value: the result is memoized
+/// on the Dataset and every mutator drops it (see dataset.h), so the
+/// sharded router and the shard-local cache lookup of one request share a
+/// single hash, and later requests on the same training set only load it.
+/// Two datasets with equal fingerprints are treated as the same training
+/// data by the scoring-service cache. Not persisted in artifacts — the
+/// value may change between builds without invalidating anything on disk.
 uint64_t DatasetFingerprint(const Dataset& dataset);
 
 }  // namespace fairbench

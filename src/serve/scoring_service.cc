@@ -1,5 +1,7 @@
 #include "serve/scoring_service.h"
 
+#include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/random.h"
@@ -15,9 +17,12 @@ namespace fairbench {
 namespace serve {
 namespace {
 
-std::string CacheKey(const std::string& approach_id, uint64_t fingerprint,
-                     uint64_t seed) {
-  return StrFormat("%s/%016llx/%016llx", approach_id.c_str(),
+/// "approach/fingerprint/seed", the cache key as text; built only for the
+/// miss path's serve.fit/ span name.
+std::string KeyName(std::string_view approach_id, uint64_t fingerprint,
+                    uint64_t seed) {
+  return StrFormat("%.*s/%016llx/%016llx",
+                   static_cast<int>(approach_id.size()), approach_id.data(),
                    static_cast<unsigned long long>(fingerprint),
                    static_cast<unsigned long long>(seed));
 }
@@ -123,13 +128,15 @@ Status ScoringService::CheckDeadline(double deadline, const Timer& admitted,
 Result<ScoreResponse> ScoringService::ScoreAdmitted(const ScoreRequest& request,
                                                     const Timer& admitted,
                                                     bool allow_parallel) {
+  // The first lap (key) starts here: admission and, for ScoreAsync, the
+  // queue wait stay outside the stage split.
+  StageTimes stages;
+  stages.mark_ns = admitted.ElapsedNanos();
   obs::RequestContext ctx = request.context;
   if (ctx.request_id == 0) ctx = ids_.Next();
-  const char* cache_outcome = "";
   Result<ScoreResponse> result =
-      ScoreWithContext(request, ctx, admitted, allow_parallel, &cache_outcome);
-  const uint64_t total_ns =
-      static_cast<uint64_t>(admitted.ElapsedSeconds() * 1e9);
+      ScoreWithContext(request, ctx, admitted, allow_parallel, &stages);
+  const uint64_t total_ns = admitted.ElapsedNanos();
   FAIRBENCH_HDR_RECORD("serve.latency.ns", total_ns, ctx.request_id);
   if (FAIRBENCH_EVENTS_ACTIVE()) {
     const double deadline =
@@ -139,18 +146,20 @@ Result<ScoreResponse> ScoringService::ScoreAdmitted(const ScoreRequest& request,
     event.request_id = ctx.request_id;
     event.approach = request.approach_id;
     event.rows = request.data != nullptr ? request.data->num_rows() : 0;
-    event.cache = cache_outcome;
+    event.cache = stages.cache;
     event.total_ns = total_ns;
+    event.key_ns = stages.key_ns;
+    event.lookup_ns = stages.lookup_ns;
+    event.fit_ns = stages.fit_ns;
+    event.predict_ns = stages.predict_ns;
+    event.sequence_ns = stages.sequence_ns;
     event.has_deadline = deadline > 0.0;
     if (event.has_deadline) {
       event.deadline_slack_ns = static_cast<int64_t>(
           deadline * 1e9 - static_cast<double>(total_ns));
     }
     if (result.ok()) {
-      const ScoreResponse& response = result.value();
-      event.sequence = response.sequence;
-      event.fit_ns = static_cast<uint64_t>(response.fit_seconds * 1e9);
-      event.predict_ns = static_cast<uint64_t>(response.score_seconds * 1e9);
+      event.sequence = result.value().sequence;
       event.status = "ok";
     } else {
       event.status = StatusCodeName(result.status().code());
@@ -162,7 +171,7 @@ Result<ScoreResponse> ScoringService::ScoreAdmitted(const ScoreRequest& request,
 
 Result<ScoreResponse> ScoringService::ScoreWithContext(
     const ScoreRequest& request, const obs::RequestContext& ctx,
-    const Timer& admitted, bool allow_parallel, const char** cache_outcome) {
+    const Timer& admitted, bool allow_parallel, StageTimes* stages) {
   FAIRBENCH_TRACE_SPAN_REQ("serve",
                            options_.run.SpanName("serve.score") + "/" +
                                request.approach_id,
@@ -178,6 +187,13 @@ Result<ScoreResponse> ScoringService::ScoreWithContext(
       options_.defaults.ResolveDeadline(request.deadline_seconds);
   FAIRBENCH_RETURN_NOT_OK(CheckDeadline(deadline, admitted, "admission"));
 
+  // The content key: after the first request on a training set (here or
+  // in the sharded router) this is the dataset's memoized fingerprint.
+  const CacheKeyRef key{DatasetFingerprint(*request.train), seed,
+                        request.approach_id};
+  stages->key_ns = stages->Lap(admitted);
+  FAIRBENCH_HDR_RECORD("serve.key.ns", stages->key_ns, ctx.request_id);
+
   ScoreResponse response;
   response.context = ctx;
   CachedModel model;
@@ -187,10 +203,16 @@ Result<ScoreResponse> ScoringService::ScoreWithContext(
                                  request.approach_id,
                              ctx.request_id);
     FAIRBENCH_ASSIGN_OR_RETURN(
-        model, GetOrFit(request, seed, deadline, ctx, admitted,
+        model, GetOrFit(request, key, deadline, ctx, admitted,
                         &response.cache_hit, &response.fit_seconds,
-                        cache_outcome));
+                        &stages->cache));
   }
+  // The lap covers lookup and (on a miss) the fit, timed separately.
+  const uint64_t lookup_and_fit_ns = stages->Lap(admitted);
+  stages->fit_ns = std::min(
+      static_cast<uint64_t>(response.fit_seconds * 1e9), lookup_and_fit_ns);
+  stages->lookup_ns = lookup_and_fit_ns - stages->fit_ns;
+  FAIRBENCH_HDR_RECORD("serve.lookup.ns", stages->lookup_ns, ctx.request_id);
   FAIRBENCH_RETURN_NOT_OK(CheckDeadline(deadline, admitted, "post-fit"));
 
   Timer score_timer;
@@ -246,6 +268,7 @@ Result<ScoreResponse> ScoringService::ScoreWithContext(
   response.predictions = std::move(predictions);
   FAIRBENCH_COUNTER_ADD("serve.rows_scored.total",
                         static_cast<uint64_t>(n));
+  stages->predict_ns = stages->Lap(admitted);
 
   // Stamp + deliver through the (possibly tier-shared) sequencer:
   // observers see successful responses exactly once, in stamp order.
@@ -260,16 +283,14 @@ Result<ScoreResponse> ScoringService::ScoreWithContext(
   } else {
     response.sequence = sequencer_->StampAndDeliver(nullptr, nullptr);
   }
+  stages->sequence_ns = stages->Lap(admitted);
   return response;
 }
 
 Result<ScoringService::CachedModel> ScoringService::GetOrFit(
-    const ScoreRequest& request, uint64_t seed, double deadline,
+    const ScoreRequest& request, const CacheKeyRef& key, double deadline,
     const obs::RequestContext& ctx, const Timer& admitted, bool* hit,
     double* fit_seconds, const char** cache_outcome) {
-  const uint64_t fingerprint = DatasetFingerprint(*request.train);
-  const std::string key = CacheKey(request.approach_id, fingerprint, seed);
-
   // Lock-free warm path: look the key up in the published epoch-protected
   // snapshot. The guard is held only across the table read and the
   // shared_ptr copies — once we own references, swaps and evictions can
@@ -306,7 +327,9 @@ Result<ScoringService::CachedModel> ScoringService::GetOrFit(
       slot = it->second;
     } else {
       slot = std::make_shared<Slot>();
-      cache_.emplace(key, slot);
+      cache_.emplace(CacheKey{key.fingerprint, key.seed,
+                              std::string(key.approach_id)},
+                     slot);
       fitter = true;
       misses_.fetch_add(1, std::memory_order_relaxed);
       if (EvictIfNeededLocked()) PublishLiveLocked();
@@ -351,7 +374,10 @@ Result<ScoringService::CachedModel> ScoringService::GetOrFit(
   *cache_outcome = "miss";
   FAIRBENCH_COUNTER_ADD("serve.cache.miss", 1);
   FAIRBENCH_TRACE_SPAN_REQ(
-      "serve", options_.run.SpanName("serve.fit") + "/" + key, ctx.request_id);
+      "serve",
+      options_.run.SpanName("serve.fit") + "/" +
+          KeyName(key.approach_id, key.fingerprint, key.seed),
+      ctx.request_id);
   Timer fit_timer;
   Status status = Status::OK();
   std::shared_ptr<Pipeline> pipeline;
@@ -363,7 +389,7 @@ Result<ScoringService::CachedModel> ScoringService::GetOrFit(
   } else {
     pipeline = std::make_shared<Pipeline>(std::move(made).value());
     FairContext context;
-    context.seed = seed;
+    context.seed = key.seed;
     status = pipeline->Fit(*request.train, context);
   }
   const double elapsed = fit_timer.ElapsedSeconds();
@@ -434,8 +460,7 @@ Status ScoringService::SwapPipeline(const SwapRequest& swap) {
     return Status::InvalidArgument("SwapRequest: train must be set");
   }
   const uint64_t seed = options_.defaults.ResolveSeed(swap.seed, options_.run);
-  const uint64_t fingerprint = DatasetFingerprint(*swap.train);
-  const std::string key = CacheKey(swap.approach_id, fingerprint, seed);
+  CacheKey key{DatasetFingerprint(*swap.train), seed, swap.approach_id};
 
   // Build (deserialize or refit) entirely outside the service locks; the
   // install below is one map update plus one pointer swap.
@@ -454,7 +479,7 @@ Status ScoringService::SwapPipeline(const SwapRequest& swap) {
     // identity check there leaves this install alone); a displaced live
     // model is retired via the epoch domain by the publish below, so
     // readers that already hold it finish undisturbed.
-    cache_[key] = std::move(slot);
+    cache_[std::move(key)] = std::move(slot);
     EvictIfNeededLocked();
     PublishLiveLocked();
   }

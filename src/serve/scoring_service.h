@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -137,6 +138,55 @@ class ScoringService : public Client {
   std::size_t epoch_garbage_for_test() const { return epochs_.pending(); }
 
  private:
+  /// Cache identity of one fitted model: (approach_id,
+  /// DatasetFingerprint(train), resolved seed). CacheKeyRef is the same
+  /// key borrowing the approach id, so a warm lookup allocates nothing;
+  /// only a miss (which claims a slot) builds an owning CacheKey.
+  struct CacheKey {
+    uint64_t fingerprint = 0;
+    uint64_t seed = 0;
+    std::string approach_id;
+  };
+  struct CacheKeyRef {
+    uint64_t fingerprint = 0;
+    uint64_t seed = 0;
+    std::string_view approach_id;
+  };
+
+  /// Orders CacheKey/CacheKeyRef alike, integers first: almost every
+  /// comparison is settled without touching the approach id.
+  struct CacheKeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      if (a.fingerprint != b.fingerprint) return a.fingerprint < b.fingerprint;
+      if (a.seed != b.seed) return a.seed < b.seed;
+      return std::string_view(a.approach_id) < std::string_view(b.approach_id);
+    }
+  };
+
+  /// Where one request's time went, for its RequestEvent. Stages are
+  /// consecutive laps of the admission clock, so they add up exactly to
+  /// the time from the start of processing to the sequence stamp.
+  struct StageTimes {
+    const char* cache = "";  ///< "hit", "miss" or "shared".
+    uint64_t key_ns = 0;
+    uint64_t lookup_ns = 0;
+    uint64_t fit_ns = 0;
+    uint64_t predict_ns = 0;
+    uint64_t sequence_ns = 0;
+    /// Admission-clock reading at the end of the previous lap.
+    uint64_t mark_ns = 0;
+
+    /// Time since the previous lap; starts the next one.
+    uint64_t Lap(const Timer& admitted) {
+      const uint64_t now = admitted.ElapsedNanos();
+      const uint64_t lap = now - mark_ns;
+      mark_ns = now;
+      return lap;
+    }
+  };
+
   /// One live cached model. Immutable after publication except for the
   /// recency stamp; replacement (refit, swap) installs a *new* entry, so
   /// a reader's shared_ptr always sees a frozen (pipeline, score_mu)
@@ -152,7 +202,8 @@ class ScoringService : public Client {
 
   /// Immutable warm-lookup snapshot, swapped wholesale on every cache
   /// mutation and reclaimed through the epoch domain.
-  using LiveTable = std::map<std::string, std::shared_ptr<LiveEntry>>;
+  using LiveTable =
+      std::map<CacheKey, std::shared_ptr<LiveEntry>, CacheKeyLess>;
 
   /// One cache slot; `ready` flips once under the service mutex when the
   /// fitting thread finishes (successfully or not).
@@ -170,8 +221,8 @@ class ScoringService : public Client {
 
   /// Stamps the trace context, runs ScoreWithContext, then records the
   /// request's telemetry (HDR latency with the request id as exemplar, and
-  /// the JSONL RequestEvent when event export is on) for success *and*
-  /// failure outcomes.
+  /// the JSONL RequestEvent with its stage split when event export is on)
+  /// for success *and* failure outcomes.
   Result<ScoreResponse> ScoreAdmitted(const ScoreRequest& request,
                                       const Timer& admitted,
                                       bool allow_parallel);
@@ -180,15 +231,15 @@ class ScoringService : public Client {
                                          const obs::RequestContext& ctx,
                                          const Timer& admitted,
                                          bool allow_parallel,
-                                         const char** cache_outcome);
+                                         StageTimes* stages);
 
-  /// Returns the fitted pipeline for the request's cache key, fitting at
-  /// most once per key across threads. `*hit` reports warm vs cold;
-  /// `*cache_outcome` is "hit", "miss", or "shared" (waited behind another
-  /// thread's fit of the same key). `deadline` is the resolved per-request
-  /// deadline (0 = none).
-  Result<CachedModel> GetOrFit(const ScoreRequest& request, uint64_t seed,
-                               double deadline,
+  /// Returns the fitted pipeline for `key`, fitting on the request's
+  /// training set at most once per key across threads. `*hit` reports
+  /// warm vs cold; `*cache_outcome` is "hit", "miss", or "shared" (waited
+  /// behind another thread's fit of the same key). `deadline` is the
+  /// resolved per-request deadline (0 = none).
+  Result<CachedModel> GetOrFit(const ScoreRequest& request,
+                               const CacheKeyRef& key, double deadline,
                                const obs::RequestContext& ctx,
                                const Timer& admitted, bool* hit,
                                double* fit_seconds,
@@ -240,7 +291,7 @@ class ScoringService : public Client {
 
   mutable std::mutex mu_;
   std::condition_variable slot_ready_;
-  std::map<std::string, std::shared_ptr<Slot>> cache_;
+  std::map<CacheKey, std::shared_ptr<Slot>, CacheKeyLess> cache_;
   std::atomic<std::size_t> in_flight_{0};
 };
 

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "data/generators/population.h"
 #include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
+#include "serve/scoring_service.h"
 
 namespace fairbench::obs {
 namespace {
@@ -224,6 +229,69 @@ TEST(RequestContextTest, ChildContextKeepsTheRequestId) {
   // Same stage index twice -> same span id (deterministic derivation).
   EXPECT_EQ(ChildContext(root, 1).span_id, child.span_id);
   EXPECT_NE(ChildContext(root, 2).span_id, child.span_id);
+}
+
+/// Unsigned integer field `name` of one JSONL record (0 when absent).
+uint64_t JsonField(const std::string& line, const std::string& name) {
+  const std::string tag = "\"" + name + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(line.c_str() + at + tag.size(), nullptr, 10);
+}
+
+TEST(TelemetryTest, RequestStagesSumToTotalForColdAndWarmRequests) {
+  MetricsRegistry::Global().ResetAll();
+  EventLog::Global().Clear();
+  SetMetricsEnabled(true);
+  SetEventsEnabled(true);
+  {
+    Result<Dataset> train = GenerateGerman(300, /*seed=*/11);
+    Result<Dataset> data = GenerateGerman(64, /*seed=*/12);
+    ASSERT_TRUE(train.ok() && data.ok());
+    serve::ScoringService service;
+    serve::ScoreRequest request;
+    request.approach_id = "lr";
+    request.train = &*train;
+    request.data = &*data;
+    ASSERT_TRUE(service.Score(request).ok());  // Cold: fits.
+    ASSERT_TRUE(service.Score(request).ok());  // Warm: memoized key, hit.
+  }
+  SetEventsEnabled(false);
+  SetMetricsEnabled(false);
+
+  std::vector<std::string> requests;
+  std::istringstream jsonl(EventLog::Global().ToJsonl("h"));
+  for (std::string line; std::getline(jsonl, line);) {
+    if (line.find("\"type\":\"request\"") != std::string::npos) {
+      requests.push_back(line);
+    }
+  }
+  ASSERT_EQ(requests.size(), 2u);
+  // Only the admission check (an atomic add and a gauge) runs outside the
+  // five stages of a synchronous Score; allow sanitizer-sized slack.
+  constexpr uint64_t kOutsideStagesNs = 50000;
+  for (const std::string& line : requests) {
+    SCOPED_TRACE(line);
+    const uint64_t total = JsonField(line, "total_ns");
+    const uint64_t sum =
+        JsonField(line, "key_ns") + JsonField(line, "lookup_ns") +
+        JsonField(line, "fit_ns") + JsonField(line, "predict_ns") +
+        JsonField(line, "sequence_ns");
+    EXPECT_GT(JsonField(line, "key_ns"), 0u);
+    EXPECT_GT(JsonField(line, "predict_ns"), 0u);
+    EXPECT_LE(sum, total);
+    EXPECT_LE(total - sum, kOutsideStagesNs);
+  }
+  EXPECT_NE(requests[0].find("\"cache\":\"miss\""), std::string::npos);
+  EXPECT_GT(JsonField(requests[0], "fit_ns"), 0u);
+  EXPECT_NE(requests[1].find("\"cache\":\"hit\""), std::string::npos);
+  EXPECT_EQ(JsonField(requests[1], "fit_ns"), 0u);
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  EXPECT_EQ(registry.GetHdrHistogram("serve.key.ns").Snapshot().count, 2u);
+  EXPECT_EQ(registry.GetHdrHistogram("serve.lookup.ns").Snapshot().count, 2u);
+  registry.ResetAll();
+  EventLog::Global().Clear();
 }
 
 }  // namespace

@@ -468,5 +468,61 @@ TEST(ScoringServiceTest, ClearCacheForcesRefit) {
   EXPECT_FALSE(refit->cache_hit);
 }
 
+// The training set's fingerprint is memoized on the Dataset; mutating it
+// after a warm score must re-key the next request, never hit the model
+// fitted on the old contents.
+TEST(ScoringServiceTest, MutatedTrainingSetMissesNotStaleHit) {
+  Fixture fx = MakeFixture();
+  ScoringServiceOptions options;
+  options.run.seed = 5;
+  ScoringService service(options);
+  Result<ScoreResponse> before = service.Score(MakeRequest(fx, "lr"));
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(service.Score(MakeRequest(fx, "lr"))->cache_hit);
+
+  for (int& y : fx.train.mutable_labels()) y ^= 1;
+  Result<ScoreResponse> after = service.Score(MakeRequest(fx, "lr"));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after->cache_hit);
+  EXPECT_EQ(service.cache_stats().misses, 2u);
+
+  ScoringService fresh(options);
+  Result<ScoreResponse> oracle = fresh.Score(MakeRequest(fx, "lr"));
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(after->predictions, oracle->predictions);
+  EXPECT_NE(after->predictions, before->predictions);
+}
+
+TEST(ScoringServiceTest, SwapAfterMutationInstallsUnderTheNewKey) {
+  Fixture fx = MakeFixture();
+  ScoringServiceOptions options;
+  options.run.seed = 5;
+  ScoringService service(options);
+  ASSERT_TRUE(service.Score(MakeRequest(fx, "lr")).ok());
+
+  for (int& y : fx.train.mutable_labels()) y ^= 1;
+  serve::SwapRequest swap;
+  swap.approach_id = "lr";
+  swap.train = &fx.train;
+  ASSERT_TRUE(service.SwapPipeline(swap).ok());
+
+  // A fresh rebuild of the mutated data (empty memo) computes the true
+  // content key; the swap must have installed under exactly that key.
+  std::vector<std::size_t> all(fx.train.num_rows());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  Result<Dataset> rebuilt = fx.train.SelectRows(all);
+  ASSERT_TRUE(rebuilt.ok());
+  const Fixture copy{std::move(rebuilt).value(), fx.test};
+  Result<ScoreResponse> after = service.Score(MakeRequest(copy, "lr"));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(after->cache_hit);
+  EXPECT_EQ(service.cache_stats().misses, 1u);
+
+  ScoringService fresh(options);
+  Result<ScoreResponse> oracle = fresh.Score(MakeRequest(copy, "lr"));
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(after->predictions, oracle->predictions);
+}
+
 }  // namespace
 }  // namespace fairbench

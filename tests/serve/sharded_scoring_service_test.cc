@@ -221,5 +221,74 @@ TEST(ShardedScoringServiceTest, ClearCacheDropsEveryShard) {
   EXPECT_EQ(service.Stats().cache.size, 0u);
 }
 
+/// A fresh rebuild of `ds` (every row, in order): same contents, empty
+/// fingerprint memo.
+Dataset Rebuilt(const Dataset& ds) {
+  std::vector<std::size_t> all(ds.num_rows());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  Result<Dataset> rebuilt = ds.SelectRows(all);
+  EXPECT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  return std::move(rebuilt).value();
+}
+
+// Router and shard both key on the memoized fingerprint; after a mutation
+// both must see the new contents: the request misses, lands where a fresh
+// copy of the data routes, and matches a fresh tier fitted on it.
+TEST(ShardedScoringServiceTest, MutatedTrainingSetMissesNotStaleHit) {
+  Fixture fx = MakeFixture();
+  ShardedScoringServiceOptions options;
+  options.shard.run.seed = 5;
+  options.shards = 4;
+  ShardedScoringService service(options);
+  Result<ScoreResponse> before = service.Score(MakeRequest(fx, "lr"));
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(service.Score(MakeRequest(fx, "lr"))->cache_hit);
+
+  for (int& y : fx.train.mutable_labels()) y ^= 1;
+  Result<ScoreResponse> after = service.Score(MakeRequest(fx, "lr"));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after->cache_hit);
+  EXPECT_EQ(service.Stats().cache.misses, 2u);
+
+  const Fixture copy{Rebuilt(fx.train), Rebuilt(fx.test)};
+  EXPECT_EQ(service.ShardForRequest(MakeRequest(fx, "lr")),
+            service.ShardForRequest(MakeRequest(copy, "lr")));
+  ShardedScoringService fresh(options);
+  Result<ScoreResponse> oracle = fresh.Score(MakeRequest(copy, "lr"));
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(after->predictions, oracle->predictions);
+  EXPECT_NE(after->predictions, before->predictions);
+}
+
+TEST(ShardedScoringServiceTest, SwapAfterMutationInstallsUnderTheNewKey) {
+  Fixture fx = MakeFixture();
+  ShardedScoringServiceOptions options;
+  options.shard.run.seed = 5;
+  options.shards = 4;
+  ShardedScoringService service(options);
+  ASSERT_TRUE(service.Score(MakeRequest(fx, "lr")).ok());
+
+  for (int& y : fx.train.mutable_labels()) y ^= 1;
+  serve::SwapRequest swap;
+  swap.approach_id = "lr";
+  swap.train = &fx.train;
+  ASSERT_TRUE(service.SwapPipeline(swap).ok());
+
+  // A fresh rebuild of the mutated data (empty memo) routes and keys on
+  // the true contents; the swap must have landed there.
+  const Fixture copy{Rebuilt(fx.train), Rebuilt(fx.test)};
+  EXPECT_EQ(service.ShardForSwap(swap),
+            service.ShardForRequest(MakeRequest(copy, "lr")));
+  Result<ScoreResponse> after = service.Score(MakeRequest(copy, "lr"));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(after->cache_hit);
+  EXPECT_EQ(service.Stats().cache.misses, 1u);
+
+  ShardedScoringService fresh(options);
+  Result<ScoreResponse> oracle = fresh.Score(MakeRequest(copy, "lr"));
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(after->predictions, oracle->predictions);
+}
+
 }  // namespace
 }  // namespace fairbench

@@ -11,7 +11,8 @@
 # Stage 4: ASan+UBSan build of the linalg kernel suites and the optim
 #          suites — the unrolled/blocked kernels and their hottest callers —
 #          to catch out-of-bounds panel indexing and UB under the same
-#          randomized differential workload the plain build runs.
+#          randomized differential workload the plain build runs; plus
+#          the Dataset fingerprint-memo suite (copy/move of the memo).
 # Stage 5: -DFAIRBENCH_OBS=OFF compile check: every instrumentation macro
 #          must vanish cleanly (library + benches + tools still build), and
 #          the kernel differential harness must still pass with the
@@ -42,7 +43,8 @@
 #          BENCH_kernels.json must pass the record_bench.py sparse schema
 #          gate (every sparse family paired ref+opt).
 # Stage 10: Sharded-serving gate: the epoch/RCU, consistent-hash router,
-#          sharded-equivalence, and hot-swap-storm suites re-run under
+#          sharded-equivalence, hot-swap-storm and Dataset
+#          fingerprint-memo (racing first callers) suites re-run under
 #          TSan, tools/load_gen drives an open-loop Poisson schedule
 #          against the 4-shard tier with a mid-run hot swap (exit gates
 #          zero failed requests), and the committed BENCH_serve.json must
@@ -104,7 +106,7 @@ cmake --build build-asan -j "${JOBS}"
 # halt_on_error: any ASan report or UBSan diagnostic fails the run.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'kernel_differential_test|checked_ops_test|solve_edge_test|matrix_test|vector_ops_test|solve_test|gradient_descent_test|lbfgs_test|nmf_test|simplex_lp_test|maxsat_test|sat_solver_test|maxsat_differential_test|lp_edge_test|lp_warm_start_test'
+    -R 'kernel_differential_test|checked_ops_test|solve_edge_test|matrix_test|vector_ops_test|solve_test|gradient_descent_test|lbfgs_test|nmf_test|simplex_lp_test|maxsat_test|sat_solver_test|maxsat_differential_test|lp_edge_test|lp_warm_start_test|dataset_fingerprint_test'
 
 echo "==> Stage 5: FAIRBENCH_OBS=OFF compile check + kernel differential run"
 cmake -B build-obs-off -S . -DCMAKE_BUILD_TYPE=Release \
@@ -187,7 +189,7 @@ echo "==> Stage 10: Sharded-serving gate (TSan router/hot-swap suites, open-loop
 # storm and the sharded equivalence suites re-run under TSan.
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
     --output-on-failure -j "${JOBS}" \
-    -R 'epoch_test|consistent_hash_test|sharded_scoring_service_test|hot_swap_test|scoring_service_test'
+    -R 'epoch_test|consistent_hash_test|sharded_scoring_service_test|hot_swap_test|scoring_service_test|dataset_fingerprint_test'
 # Open-loop smoke under TSan: a Poisson schedule against the 4-shard tier
 # with a hot swap of every approach mid-run. load_gen itself exits
 # nonzero if any request or swap fails (the zero-failure gate).
