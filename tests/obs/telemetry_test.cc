@@ -231,6 +231,7 @@ TEST(RequestContextTest, ChildContextKeepsTheRequestId) {
   EXPECT_NE(ChildContext(root, 2).span_id, child.span_id);
 }
 
+#if FAIRBENCH_OBS_ENABLED
 /// Unsigned integer field `name` of one JSONL record (0 when absent).
 uint64_t JsonField(const std::string& line, const std::string& name) {
   const std::string tag = "\"" + name + "\":";
@@ -293,6 +294,7 @@ TEST(TelemetryTest, RequestStagesSumToTotalForColdAndWarmRequests) {
   registry.ResetAll();
   EventLog::Global().Clear();
 }
+#endif  // FAIRBENCH_OBS_ENABLED
 
 }  // namespace
 }  // namespace fairbench::obs
