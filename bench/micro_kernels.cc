@@ -13,8 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
-#include "data/generators/population.h"
-#include "fair/in/zafar.h"
 #include "linalg/kernels.h"
 #include "linalg/ref.h"
 #include "linalg/sparse.h"
@@ -353,33 +351,6 @@ void BM_SpSigmoidResidualOpt(benchmark::State& state) {
                                             design.sparse.cols()));
 }
 BENCHMARK(BM_SpSigmoidResidualOpt)->Arg(10000);
-
-// ---- Fit-level: Zafar DP-fair, dense penalty-GD vs sparse CG-Newton ------
-//
-// The end-to-end acceptance pair: same model, same data, dense trajectory
-// (the golden-pinned default) vs the opt-in sparse CG-Newton path. Few
-// iterations, wall-time in milliseconds — this is a fit, not a kernel.
-
-void BM_ZafarDpFit(benchmark::State& state, bool use_sparse) {
-  const Dataset data =
-      GenerateAdult(static_cast<std::size_t>(state.range(0)), 1).value();
-  ZafarOptions options;
-  options.variant = ZafarVariant::kDpFair;
-  options.use_sparse_newton = use_sparse;
-  FairContext ctx;
-  for (auto _ : state) {
-    Zafar model(options);
-    benchmark::DoNotOptimize(model.Fit(data, ctx).ok());
-  }
-}
-void BM_ZafarDpFitRef(benchmark::State& state) {
-  BM_ZafarDpFit(state, false);
-}
-void BM_ZafarDpFitOpt(benchmark::State& state) {
-  BM_ZafarDpFit(state, true);
-}
-BENCHMARK(BM_ZafarDpFitRef)->Arg(2000);
-BENCHMARK(BM_ZafarDpFitOpt)->Arg(2000);
 
 }  // namespace
 }  // namespace fairbench

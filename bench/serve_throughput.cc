@@ -315,73 +315,6 @@ int main(int argc, char** argv) {
         sharded_med > 0.0 ? single_med / sharded_med : 0.0);
   }
 
-  // --- Zafar serving cold fits: dense IRLS vs sparse CG-Newton. ---
-  //
-  // The three Zafar variants are the registry's expensive cold fits; the
-  // serving tier routes them through ZafarOptions::use_sparse_newton
-  // (MakeServingPipeline). Record the per-variant fit-time delta.
-  struct ColdFitRep {
-    double dense_fit_seconds = 0.0;
-    double sparse_fit_seconds = 0.0;
-  };
-  struct ColdFitResult {
-    std::string id;
-    std::vector<ColdFitRep> runs;
-  };
-  const std::vector<std::string> kZafarVariants = {
-      "zafar_dp_fair", "zafar_dp_acc", "zafar_eo_fair"};
-  std::vector<ColdFitResult> cold_fit_results;
-  std::printf("\n%-16s %14s %14s %9s\n", "zafar cold fit", "dense ms",
-              "sparse ms", "speedup");
-  for (const std::string& id : kZafarVariants) {
-    serve::ScoringServiceOptions dense_options;
-    dense_options.run.seed = args.seed;
-    dense_options.run.threads = args.jobs;
-    dense_options.sparse_cold_fits = false;
-    serve::ScoringService dense_service(dense_options);
-    serve::ScoringServiceOptions sparse_options = dense_options;
-    sparse_options.sparse_cold_fits = true;
-    serve::ScoringService sparse_service(sparse_options);
-
-    serve::ScoreRequest request;
-    request.approach_id = id;
-    request.train = &train;
-    request.data = &batch;
-
-    ColdFitResult result;
-    result.id = id;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      ColdFitRep r;
-      dense_service.ClearCache();
-      sparse_service.ClearCache();
-      Result<serve::ScoreResponse> dense = dense_service.Score(request);
-      Result<serve::ScoreResponse> sparse = sparse_service.Score(request);
-      if (!dense.ok() || !sparse.ok()) {
-        std::fprintf(stderr, "%s: cold fit failed: %s\n", id.c_str(),
-                     (!dense.ok() ? dense : sparse).status().ToString().c_str());
-        return 1;
-      }
-      r.dense_fit_seconds = dense->fit_seconds;
-      r.sparse_fit_seconds = sparse->fit_seconds;
-      result.runs.push_back(r);
-    }
-    std::vector<ColdFitRep> sorted = result.runs;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const ColdFitRep& a, const ColdFitRep& b) {
-                return a.dense_fit_seconds < b.dense_fit_seconds;
-              });
-    const double dense_med = sorted[sorted.size() / 2].dense_fit_seconds;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const ColdFitRep& a, const ColdFitRep& b) {
-                return a.sparse_fit_seconds < b.sparse_fit_seconds;
-              });
-    const double sparse_med = sorted[sorted.size() / 2].sparse_fit_seconds;
-    std::printf("%-16s %13.1f  %13.1f  %7.1fx\n", id.c_str(),
-                dense_med * 1e3, sparse_med * 1e3,
-                sparse_med > 0.0 ? dense_med / sparse_med : 0.0);
-    cold_fit_results.push_back(std::move(result));
-  }
-
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
@@ -434,23 +367,7 @@ int main(int argc, char** argv) {
                    r.sharded_hits,
                    rep + 1 < sharded_runs.size() ? "," : "");
     }
-    std::fprintf(f, "    ]\n  },\n  \"zafar_cold_fit\": [\n");
-    for (std::size_t i = 0; i < cold_fit_results.size(); ++i) {
-      const ColdFitResult& m = cold_fit_results[i];
-      std::fprintf(f, "    {\"id\": \"%s\", \"repetitions\": [\n",
-                   m.id.c_str());
-      for (std::size_t rep = 0; rep < m.runs.size(); ++rep) {
-        std::fprintf(f,
-                     "      {\"dense_fit_seconds\": %.9f, "
-                     "\"sparse_fit_seconds\": %.9f}%s\n",
-                     m.runs[rep].dense_fit_seconds,
-                     m.runs[rep].sparse_fit_seconds,
-                     rep + 1 < m.runs.size() ? "," : "");
-      }
-      std::fprintf(f, "    ]}%s\n",
-                   i + 1 < cold_fit_results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "    ]\n  }\n}\n");
     std::fclose(f);
     std::fprintf(stderr, "wrote raw measurements: %s\n", json_path.c_str());
   }

@@ -104,8 +104,8 @@ Status LogisticRegression::Fit(const Matrix& x, const std::vector<int>& y,
   }
 
   if (!irls_ok) {
-    // Fallback: minimize the same objective with L-BFGS-free gradient
-    // descent (slower but unconditionally stable).
+    // Fallback: minimize the same objective with plain gradient descent
+    // (slower but unconditionally stable).
     Objective obj = [&](const Vector& t, Vector* grad) {
       double loss = 0.0;
       Vector z(n, 0.0);

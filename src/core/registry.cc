@@ -139,21 +139,6 @@ Result<Pipeline> MakePipeline(const std::string& id) {
   return spec->make();
 }
 
-Result<Pipeline> MakeServingPipeline(const std::string& id) {
-  ZafarOptions options;
-  if (id == "zafar_dp_fair") {
-    options.variant = ZafarVariant::kDpFair;
-  } else if (id == "zafar_dp_acc") {
-    options.variant = ZafarVariant::kDpAcc;
-  } else if (id == "zafar_eo_fair") {
-    options.variant = ZafarVariant::kEoFair;
-  } else {
-    return MakePipeline(id);
-  }
-  options.use_sparse_newton = true;
-  return WithIn<Zafar>(options);
-}
-
 std::vector<std::string> AllApproachIds() {
   std::vector<std::string> out;
   for (const ApproachSpec& spec : ApproachRegistry()) out.push_back(spec.id);

@@ -32,15 +32,6 @@ Result<const ApproachSpec*> FindApproach(const std::string& id);
 /// Fresh pipeline for an approach id.
 Result<Pipeline> MakePipeline(const std::string& id);
 
-/// Fresh pipeline tuned for serving-tier cold fits: identical to
-/// MakePipeline for every approach except the three Zafar variants, which
-/// opt into the sparse CSR + truncated CG-Newton solver
-/// (ZafarOptions::use_sparse_newton) — the same penalized objective with a
-/// much cheaper fit, which is what a latency-bound cold miss wants. The
-/// offline experiment harnesses keep calling MakePipeline so published
-/// benchmark numbers are untouched.
-Result<Pipeline> MakeServingPipeline(const std::string& id);
-
 /// All approach ids, registry order.
 std::vector<std::string> AllApproachIds();
 

@@ -43,8 +43,8 @@ class EncodedLogisticInProcessor : public InProcessor {
 
 /// Adds the weighted logistic log-loss of theta = [intercept, w...] over
 /// (x, y, w) to *loss and its gradient into *grad (both pre-initialized by
-/// the caller). Returns the added loss. Shared by the constrained
-/// optimizers of ZAFAR / CELIS / THOMAS / ZHA-LE.
+/// the caller). Returns the added loss. Shared by the dense constrained
+/// optimizers of CELIS and THOMAS.
 double AccumulateLogLoss(const Matrix& x, const std::vector<int>& y,
                          const Vector& weights, const Vector& theta,
                          Vector* grad);

@@ -6,7 +6,6 @@
 #include "classifiers/sparse_logistic.h"
 #include "linalg/sparse_kernels.h"
 #include "optim/cg_newton.h"
-#include "optim/gradient_descent.h"
 
 namespace fairbench {
 namespace {
@@ -28,142 +27,6 @@ Vector CenteredSensitive(const Dataset& train) {
 
 Status Zafar::Fit(const Dataset& train, const FairContext& context) {
   FAIRBENCH_RETURN_NOT_OK(train.Validate());
-  if (options_.use_sparse_newton) return FitSparseNewton(train);
-  // S is excluded from the features by construction.
-  Result<Matrix> encoded = EncodeTrain(train, /*include_sensitive=*/false);
-  FAIRBENCH_RETURN_NOT_OK(encoded.status());
-  const Matrix& x = encoded.value();
-  const std::vector<int>& y = train.labels();
-  const Vector& w = train.weights();
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  const double inv_n = 1.0 / static_cast<double>(n);
-  const Vector sc = CenteredSensitive(train);
-
-  // cov(theta) = 1/N sum sc_i * z_i; gradient 1/N sum sc_i * [1, x_i]
-  // (the intercept component vanishes since sum sc_i = 0).
-  auto covariance = [&](const Vector& z) {
-    double c = 0.0;
-    for (std::size_t i = 0; i < n; ++i) c += sc[i] * z[i];
-    return c * inv_n;
-  };
-  // Precompute d(cov)/d(theta), which is constant.
-  Vector cov_grad(d + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = x.Row(i);
-    for (std::size_t j = 0; j < d; ++j) cov_grad[j + 1] += sc[i] * row[j];
-  }
-  Scale(inv_n, &cov_grad);
-
-  auto add_l2 = [&](const Vector& theta, Vector* grad, double* loss) {
-    for (std::size_t j = 1; j <= d; ++j) {
-      *loss += 0.5 * options_.l2 * theta[j] * theta[j];
-      (*grad)[j] += options_.l2 * theta[j];
-    }
-  };
-
-  Vector theta(d + 1, 0.0);
-  const double c_thresh = options_.cov_threshold;
-
-  if (options_.variant == ZafarVariant::kDpFair) {
-    PenalizedObjective obj = [&](const Vector& t, Vector* grad, double mu) {
-      std::fill(grad->begin(), grad->end(), 0.0);
-      double loss = AccumulateLogLoss(x, y, w, t, grad) * inv_n;
-      Scale(inv_n, grad);
-      add_l2(t, grad, &loss);
-      const Vector z = DecisionValues(x, t);
-      const double cov = covariance(z);
-      const double excess = std::max(0.0, std::fabs(cov) - c_thresh);
-      loss += mu * excess * excess;
-      if (excess > 0.0) {
-        const double f = 2.0 * mu * excess * (cov >= 0.0 ? 1.0 : -1.0);
-        Axpy(f, cov_grad, grad);
-      }
-      return loss;
-    };
-    theta = MinimizePenalty(obj, std::move(theta)).x;
-  } else if (options_.variant == ZafarVariant::kDpAcc) {
-    // First find the unconstrained optimum loss L*.
-    Objective plain = [&](const Vector& t, Vector* grad) {
-      std::fill(grad->begin(), grad->end(), 0.0);
-      double loss = AccumulateLogLoss(x, y, w, t, grad) * inv_n;
-      Scale(inv_n, grad);
-      add_l2(t, grad, &loss);
-      return loss;
-    };
-    GradientDescentOptions gd;
-    gd.max_iterations = 300;
-    const OptimResult base = MinimizeGradientDescent(plain, theta, gd);
-    const double max_loss = base.value * (1.0 + options_.loss_slack);
-
-    // Then minimize cov^2 subject to loss <= max_loss (penalty form).
-    PenalizedObjective obj = [&](const Vector& t, Vector* grad, double mu) {
-      std::fill(grad->begin(), grad->end(), 0.0);
-      Vector loss_grad(d + 1, 0.0);
-      double loss = AccumulateLogLoss(x, y, w, t, &loss_grad) * inv_n;
-      Scale(inv_n, &loss_grad);
-      add_l2(t, &loss_grad, &loss);
-      const Vector z = DecisionValues(x, t);
-      const double cov = covariance(z);
-      double value = cov * cov;
-      Axpy(2.0 * cov, cov_grad, grad);
-      const double excess = std::max(0.0, loss - max_loss);
-      value += mu * excess * excess;
-      if (excess > 0.0) Axpy(2.0 * mu * excess, loss_grad, grad);
-      return value;
-    };
-    theta = MinimizePenalty(obj, base.x).x;
-  } else {
-    // kEoFair: covariance restricted to misclassified tuples. The
-    // misclassification weights m_i make the constraint concave-convex;
-    // following the DCCP recipe we freeze m_i from the previous iterate,
-    // solve the resulting convex penalized problem, and refresh.
-    Vector m(n, 0.5);  // Initial misclassification weights.
-    for (int round = 0; round < options_.dccp_rounds; ++round) {
-      PenalizedObjective obj = [&](const Vector& t, Vector* grad, double mu) {
-        std::fill(grad->begin(), grad->end(), 0.0);
-        double loss = AccumulateLogLoss(x, y, w, t, grad) * inv_n;
-        Scale(inv_n, grad);
-        add_l2(t, grad, &loss);
-        const Vector z = DecisionValues(x, t);
-        // cov_eo = 1/N sum sc_i * (-z_i) * m_i  (m frozen).
-        double cov = 0.0;
-        Vector cg(d + 1, 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          const double f = sc[i] * m[i];
-          cov -= f * z[i];
-          cg[0] -= f;
-          const double* row = x.Row(i);
-          for (std::size_t j = 0; j < d; ++j) cg[j + 1] -= f * row[j];
-        }
-        cov *= inv_n;
-        Scale(inv_n, &cg);
-        const double excess = std::max(0.0, std::fabs(cov) - c_thresh);
-        loss += mu * excess * excess;
-        if (excess > 0.0) {
-          Axpy(2.0 * mu * excess * (cov >= 0.0 ? 1.0 : -1.0), cg, grad);
-        }
-        return loss;
-      };
-      PenaltyOptions po;
-      po.rounds = 3;
-      theta = MinimizePenalty(obj, std::move(theta), po).x;
-      // Refresh misclassification weights: P(misclassified) under theta.
-      const Vector z = DecisionValues(x, theta);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double y_signed = y[i] == 1 ? 1.0 : -1.0;
-        m[i] = LogisticRegression::Sigmoid(-y_signed * z[i]);
-      }
-    }
-  }
-
-  const Vector z = DecisionValues(x, theta);
-  last_cov_ = std::fabs(covariance(z));
-  InstallParameters(theta);
-  return Status::OK();
-}
-
-Status Zafar::FitSparseNewton(const Dataset& train) {
   // S is excluded from the features by construction.
   Result<SparseMatrix> encoded =
       EncodeTrainSparse(train, /*include_sensitive=*/false);
@@ -179,8 +42,8 @@ Status Zafar::FitSparseNewton(const Dataset& train) {
   const double l2 = options_.l2;
 
   SparseLogisticLoss loss(x, y, w);
-  // Adds the 1/N-scaled penalized log-loss value/gradient/Hvp — the same
-  // objective the dense path builds from AccumulateLogLoss + add_l2.
+  // The 1/N-scaled log-loss plus the L2 term on the non-intercept weights:
+  // value/gradient and the matching Hessian-vector product.
   auto eval_loss = [&](const Vector& t, Vector* grad) {
     std::fill(grad->begin(), grad->end(), 0.0);
     double value = loss.Evaluate(t, grad) * inv_n;

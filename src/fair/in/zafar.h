@@ -24,13 +24,6 @@ struct ZafarOptions {
   double loss_slack = 0.05;
   double l2 = 1e-3;
   int dccp_rounds = 4;  ///< Convex-concave refreshes for kEoFair.
-  /// Opt-in sparse training path: encodes the design straight into CSR
-  /// (FeatureEncoder::TransformSparse) and solves every penalized
-  /// subproblem with the truncated CG-Newton solver (optim/cg_newton.h)
-  /// instead of dense gradient descent — O(nnz) per Hessian-vector product
-  /// on one-hot designs. Off by default: the dense trajectory is pinned by
-  /// the golden experiment transcripts and must not move.
-  bool use_sparse_newton = false;
 };
 
 /// ZAFAR (Zafar et al. 2017, "Fairness constraints" / "Fairness beyond
@@ -47,6 +40,14 @@ struct ZafarOptions {
 /// linearization of the misclassification weights (a disciplined
 /// convex-concave procedure). S is used only inside the constraint, never
 /// as a model feature (paper Appendix A.2).
+///
+/// Training encodes the design straight into CSR
+/// (FeatureEncoder::TransformSparse) and solves every penalized subproblem
+/// with truncated CG-Newton (optim/cg_newton.h): each covariance proxy is
+/// linear in theta (the EO one with its misclassification weights frozen),
+/// so the penalty Hessians have closed forms and one Hessian-vector product
+/// costs O(nnz) on one-hot designs. The offline harnesses and the serving
+/// tier fit through this one path.
 class Zafar final : public EncodedLogisticInProcessor {
  public:
   explicit Zafar(ZafarOptions options = {}) : options_(options) {}
@@ -69,12 +70,6 @@ class Zafar final : public EncodedLogisticInProcessor {
   double last_covariance() const { return last_cov_; }
 
  private:
-  /// CSR + CG-Newton counterpart of the dense Fit body; reached only when
-  /// options_.use_sparse_newton is set. Minimizes the same penalized
-  /// surrogates (identical penalty schedule) so the fitted model agrees
-  /// with the dense path up to optimizer tolerance.
-  Status FitSparseNewton(const Dataset& train);
-
   ZafarOptions options_;
   double last_cov_ = 0.0;
 };

@@ -113,10 +113,18 @@ OptimResult MinimizeCgNewton(const Objective& objective,
       result.converged = NormInf(grad) < 1e-3;
       break;
     }
+    const bool progressed = ftrial < fx;
     result.x = trial;
     grad = trial_grad;
     fx = ftrial;
     result.grad_norm = NormInf(grad);
+    if (!progressed) {
+      // Armijo accepted a step that leaves f unchanged: f is flat to
+      // rounding along d, so further iterations would only burn
+      // backtracks. Same convergence verdict as a stalled line search.
+      result.converged = result.grad_norm < 1e-3;
+      break;
+    }
   }
   result.value = fx;
   RecordSolveTelemetry("optim.cg_newton", result);

@@ -47,7 +47,10 @@ struct CgNewtonOptions {
 /// direction.
 ///
 /// Deterministic: no randomness, and the iterate trajectory is pinned by
-/// tests/optim/cg_newton_test.cc the same way gd/lbfgs are.
+/// tests/optim/cg_newton_test.cc the same way gd's is. An Armijo step that
+/// does not lower f ends the solve (converged iff ||grad||_inf < 1e-3,
+/// the stalled-line-search verdict): it means f is flat to rounding, as
+/// near an optimum whose gradient floor sits just above `tolerance`.
 /// Telemetry: records "optim.cg_newton" solver counters plus the total
 /// inner iteration count ("optim.cg_newton.cg_iterations").
 OptimResult MinimizeCgNewton(const Objective& objective,

@@ -13,7 +13,7 @@ namespace fairbench {
 
 /// Publishes one finished solve to the obs metrics registry (and the debug
 /// log): iteration/backtrack counters, convergence outcome, final residual.
-/// `solver` is the metric-name prefix, e.g. "optim.gd" or "optim.lbfgs".
+/// `solver` is the metric-name prefix, e.g. "optim.gd" or "optim.cg_newton".
 /// No-op unless metrics (resp. logging) are enabled at runtime; compiled
 /// out entirely under -DFAIRBENCH_OBS=OFF.
 inline void RecordSolveTelemetry(const char* solver, const OptimResult& r) {

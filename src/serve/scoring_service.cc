@@ -381,9 +381,7 @@ Result<ScoringService::CachedModel> ScoringService::GetOrFit(
   Timer fit_timer;
   Status status = Status::OK();
   std::shared_ptr<Pipeline> pipeline;
-  Result<Pipeline> made = options_.sparse_cold_fits
-                              ? MakeServingPipeline(request.approach_id)
-                              : MakePipeline(request.approach_id);
+  Result<Pipeline> made = MakePipeline(request.approach_id);
   if (!made.ok()) {
     status = made.status();
   } else {
@@ -444,9 +442,7 @@ Result<std::shared_ptr<const Pipeline>> ScoringService::BuildSwapPipeline(
     return std::shared_ptr<const Pipeline>(
         std::make_shared<Pipeline>(std::move(loaded)));
   }
-  Result<Pipeline> made = options_.sparse_cold_fits
-                              ? MakeServingPipeline(swap.approach_id)
-                              : MakePipeline(swap.approach_id);
+  Result<Pipeline> made = MakePipeline(swap.approach_id);
   if (!made.ok()) return made.status();
   auto pipeline = std::make_shared<Pipeline>(std::move(made).value());
   FairContext context;

@@ -50,14 +50,6 @@ struct ScoringServiceOptions {
   /// with the tier.
   std::size_t max_in_flight = 32;
 
-  /// Cold fits use the registry's *serving* pipeline variant
-  /// (MakeServingPipeline): identical for every approach except the three
-  /// Zafar variants, which opt into the CSR + truncated CG-Newton solver
-  /// (ZafarOptions::use_sparse_newton) — same penalized objective, much
-  /// cheaper cold fit (delta recorded in BENCH_serve.json). Set false to
-  /// fit exactly what the offline experiment harnesses fit.
-  bool sparse_cold_fits = true;
-
   /// Completion hook (borrowed; must outlive the service). Every
   /// *successful* response is delivered exactly once, in sequence order,
   /// under the sequencing lock — see observer.h for the callback contract.

@@ -2,13 +2,68 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "data/encoder.h"
 #include "data/generators/population.h"
 #include "metrics/fairness.h"
+#include "obs/metrics.h"
+#include "optim/gradient_descent.h"
 
 namespace fairbench {
 namespace {
+
+/// Dense DP-fair oracle: the penalty-GD fit of the same surrogate that
+/// Zafar minimizes (1/N log-loss + L2 on the weights, plus
+/// mu * max(0, |cov| - threshold)^2 over the MinimizePenalty schedule),
+/// on the dense design. Returns its training-set predictions.
+std::vector<int> DenseDpFairOraclePredict(const Dataset& train,
+                                          const ZafarOptions& options) {
+  FeatureEncoder encoder;
+  EXPECT_TRUE(encoder.Fit(train, /*include_sensitive=*/false).ok());
+  const Matrix x = encoder.Transform(train).value();
+  const std::vector<int>& y = train.labels();
+  const Vector& w = train.weights();
+  const std::size_t n = x.rows();
+  const std::size_t d = x.cols();
+  const double inv_n = 1.0 / static_cast<double>(n);
+
+  double mean_s = 0.0;
+  for (int s : train.sensitive()) mean_s += s;
+  mean_s *= inv_n;
+  // cov(theta) = 1/N sum (s_i - mean s) z_i is linear in theta; the
+  // intercept component vanishes because the centered s sums to zero.
+  Vector cov_grad(d + 1, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double sc = train.sensitive()[i] - mean_s;
+    for (std::size_t j = 0; j < d; ++j) cov_grad[j + 1] += sc * x(i, j);
+  }
+  Scale(inv_n, &cov_grad);
+
+  PenalizedObjective obj = [&](const Vector& t, Vector* grad, double mu) {
+    std::fill(grad->begin(), grad->end(), 0.0);
+    double loss = AccumulateLogLoss(x, y, w, t, grad) * inv_n;
+    Scale(inv_n, grad);
+    for (std::size_t j = 1; j <= d; ++j) {
+      loss += 0.5 * options.l2 * t[j] * t[j];
+      (*grad)[j] += options.l2 * t[j];
+    }
+    const double cov = Dot(cov_grad, t);
+    const double excess = std::max(0.0, std::fabs(cov) - options.cov_threshold);
+    loss += mu * excess * excess;
+    if (excess > 0.0) {
+      Axpy(2.0 * mu * excess * (cov >= 0.0 ? 1.0 : -1.0), cov_grad, grad);
+    }
+    return loss;
+  };
+  const Vector theta = MinimizePenalty(obj, Vector(d + 1, 0.0)).x;
+  std::vector<int> out;
+  for (double z : DecisionValues(x, theta)) {
+    out.push_back(LogisticRegression::Sigmoid(z) >= 0.5 ? 1 : 0);
+  }
+  return out;
+}
 
 /// Test predictions of a fitted in-processor over a dataset.
 std::vector<int> Predict(const InProcessor& model, const Dataset& data) {
@@ -111,61 +166,48 @@ TEST(ZafarTest, ErrorsBeforeFit) {
             StatusCode::kFailedPrecondition);
 }
 
-// The opt-in sparse CG-Newton path minimizes the same penalized
-// surrogates over the CSR design; it must land on a model that is
-// fairness- and accuracy-equivalent to the dense trajectory (identical
-// iterates are not expected — different solver, same optimum).
 TEST(ZafarTest, SparseNewtonDpFairMatchesDenseQuality) {
+  // Zafar fits over the CSR design with CG-Newton; the dense penalty-GD
+  // oracle minimizes the same DP surrogate by a different solver, so the
+  // two must land on fairness- and accuracy-equivalent models (identical
+  // iterates are not expected).
   const Dataset data = GenerateAdult(5000, 1).value();
   FairContext ctx;
-  ZafarOptions dense_opt;
-  dense_opt.variant = ZafarVariant::kDpFair;
-  Zafar dense_model(dense_opt);
-  ASSERT_TRUE(dense_model.Fit(data, ctx).ok());
+  ZafarOptions options;
+  options.variant = ZafarVariant::kDpFair;
+  Zafar zafar(options);
+  ASSERT_TRUE(zafar.Fit(data, ctx).ok());
+  EXPECT_LT(zafar.last_covariance(), 0.05);
 
-  ZafarOptions sparse_opt = dense_opt;
-  sparse_opt.use_sparse_newton = true;
-  Zafar sparse_model(sparse_opt);
-  ASSERT_TRUE(sparse_model.Fit(data, ctx).ok());
-
-  EXPECT_LT(sparse_model.last_covariance(), 0.05);
-  const std::vector<int> pd = Predict(dense_model, data);
-  const std::vector<int> ps = Predict(sparse_model, data);
+  const std::vector<int> pd = DenseDpFairOraclePredict(data, options);
+  const std::vector<int> ps = Predict(zafar, data);
+  ASSERT_EQ(pd.size(), ps.size());
   std::size_t agree = 0;
   for (std::size_t i = 0; i < pd.size(); ++i) agree += pd[i] == ps[i];
   EXPECT_GT(static_cast<double>(agree) / static_cast<double>(pd.size()), 0.95);
 }
 
-TEST(ZafarTest, SparseNewtonDpAccKeepsAccuracy) {
-  const Dataset data = GenerateAdult(5000, 3).value();
-  ZafarOptions options;
-  options.variant = ZafarVariant::kDpAcc;
-  options.use_sparse_newton = true;
-  Zafar zafar(options);
+#if FAIRBENCH_OBS_ENABLED
+TEST(ZafarTest, CompasSeed26DpFairFitsInFewNewtonIterations) {
+  // Regression: on this training set the first penalty round reaches a
+  // gradient floor (~1.5e-8) just above the CG-Newton tolerance, and the
+  // solver used to accept ~90 zero-decrease Armijo steps (122 Newton
+  // iterations, ~3,100 backtracks) where every other seed needs ~30.
+  const Dataset data = GeneratePopulation(CompasConfig(), 7214, 26).value();
+  obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("optim.cg_newton.iterations");
+  counter.Reset();
+  Zafar zafar;
   FairContext ctx;
-  ASSERT_TRUE(zafar.Fit(data, ctx).ok());
-  const std::vector<int> pred = Predict(zafar, data);
-  double correct = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    correct += pred[i] == data.labels()[i];
-  }
-  EXPECT_GT(correct / static_cast<double>(pred.size()), 0.80);
+  const bool was_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const Status fit = zafar.Fit(data, ctx);
+  obs::SetMetricsEnabled(was_enabled);
+  ASSERT_TRUE(fit.ok());
+  EXPECT_LE(counter.value(), 40u);
+  EXPECT_LT(zafar.last_covariance(), 1e-4);
 }
-
-TEST(ZafarTest, SparseNewtonEoFairBalancesErrorRates) {
-  const Dataset data = GenerateAdult(6000, 4).value();
-  ZafarOptions options;
-  options.variant = ZafarVariant::kEoFair;
-  options.use_sparse_newton = true;
-  Zafar zafar(options);
-  FairContext ctx;
-  ASSERT_TRUE(zafar.Fit(data, ctx).ok());
-  const GroupStats gs =
-      BuildGroupStats(data.labels(), Predict(zafar, data), data.sensitive())
-          .value();
-  EXPECT_LT(std::fabs(TprBalance(gs)), 0.18);
-  EXPECT_LT(std::fabs(TnrBalance(gs)), 0.10);
-}
+#endif  // FAIRBENCH_OBS_ENABLED
 
 TEST(ZafarTest, VariantNames) {
   ZafarOptions o;

@@ -71,7 +71,7 @@ TEST(HotSwapTest, RefitSwapInstallsAWarmModel) {
   Result<ScoreResponse> r = service.Score(MakeRequest(fx, "lr"));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->cache_hit);
-  Result<Pipeline> direct = MakeServingPipeline("lr");
+  Result<Pipeline> direct = MakePipeline("lr");
   ASSERT_TRUE(direct.ok());
   const FairContext context{{}, {}, /*seed=*/5};
   ASSERT_TRUE(direct->Fit(fx.train, context).ok());

@@ -32,8 +32,8 @@ struct Fixture {
   Dataset test;
 };
 
-Fixture MakeFixture() {
-  Result<Dataset> data = GenerateGerman(400, /*seed=*/11);
+/// 70/30 train/test split of a generated dataset.
+Fixture SplitFixture(Result<Dataset> data) {
   EXPECT_TRUE(data.ok()) << data.status().ToString();
   Rng rng(7);
   SplitIndices split = TrainTestSplit(data->num_rows(), 0.7, rng);
@@ -42,6 +42,8 @@ Fixture MakeFixture() {
   EXPECT_TRUE(parts.ok()) << parts.status().ToString();
   return Fixture{std::move(parts->first), std::move(parts->second)};
 }
+
+Fixture MakeFixture() { return SplitFixture(GenerateGerman(400, /*seed=*/11)); }
 
 ScoreRequest MakeRequest(const Fixture& fx, const std::string& id) {
   ScoreRequest request;
@@ -136,34 +138,38 @@ TEST(ScoringServiceTest, RequestDefaultsApplyDeadlineWhenRequestHasNone) {
   EXPECT_TRUE(service.Score(request).ok());
 }
 
-TEST(ScoringServiceTest, ServingColdFitsUseTheSparseZafarSolver) {
-  const Fixture fx = MakeFixture();
-  ScoringServiceOptions options;
-  options.run.seed = 5;
-  ScoringService service(options);  // sparse_cold_fits defaults to true.
-
-  Result<ScoreResponse> served = service.Score(MakeRequest(fx, "zafar_dp_fair"));
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-
-  // The serving pipeline (CSR + CG-Newton Zafar) is what got fit...
-  Result<Pipeline> sparse = MakeServingPipeline("zafar_dp_fair");
-  ASSERT_TRUE(sparse.ok());
+TEST(ScoringServiceTest, ColdFitEqualsOfflinePipelineForEveryApproach) {
+  // One training path per approach id: what the service fits on a cold
+  // miss is exactly what the offline harnesses fit (MakePipeline), so the
+  // served predictions equal an offline fit-then-predict bit for bit.
+  // Two training sets, each scored on its test and train rows: two fits
+  // that agree only to optimizer tolerance flip a few labels, and which
+  // rows flip depends on the data.
+  const Fixture fixtures[] = {MakeFixture(),
+                              SplitFixture(GenerateAdult(1000, /*seed=*/11))};
   const FairContext context{{}, {}, /*seed=*/5};
-  ASSERT_TRUE(sparse->Fit(fx.train, context).ok());
-  EXPECT_EQ(served->predictions, sparse->Predict(fx.test).value());
+  for (const Fixture& fx : fixtures) {
+    ScoringServiceOptions options;
+    options.run.seed = 5;
+    ScoringService service(options);
+    for (const std::string& id : AllApproachIds()) {
+      SCOPED_TRACE(id);
+      Result<ScoreResponse> served = service.Score(MakeRequest(fx, id));
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      EXPECT_FALSE(served->cache_hit);
+      ScoreRequest on_train = MakeRequest(fx, id);
+      on_train.data = &fx.train;
+      Result<ScoreResponse> served_train = service.Score(on_train);
+      ASSERT_TRUE(served_train.ok()) << served_train.status().ToString();
 
-  // ...and the opt-out restores the offline-harness pipeline exactly.
-  ScoringServiceOptions dense_options;
-  dense_options.run.seed = 5;
-  dense_options.sparse_cold_fits = false;
-  ScoringService dense_service(dense_options);
-  Result<ScoreResponse> dense_served =
-      dense_service.Score(MakeRequest(fx, "zafar_dp_fair"));
-  ASSERT_TRUE(dense_served.ok());
-  Result<Pipeline> dense = MakePipeline("zafar_dp_fair");
-  ASSERT_TRUE(dense.ok());
-  ASSERT_TRUE(dense->Fit(fx.train, context).ok());
-  EXPECT_EQ(dense_served->predictions, dense->Predict(fx.test).value());
+      Result<Pipeline> offline = MakePipeline(id);
+      ASSERT_TRUE(offline.ok());
+      ASSERT_TRUE(offline->Fit(fx.train, context).ok());
+      EXPECT_EQ(served->predictions, offline->Predict(fx.test).value());
+      EXPECT_EQ(served_train->predictions,
+                offline->Predict(fx.train).value());
+    }
+  }
 }
 
 TEST(ScoringServiceTest, LruEvictsColdestEntry) {

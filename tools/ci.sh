@@ -106,7 +106,7 @@ cmake --build build-asan -j "${JOBS}"
 # halt_on_error: any ASan report or UBSan diagnostic fails the run.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'kernel_differential_test|checked_ops_test|solve_edge_test|matrix_test|vector_ops_test|solve_test|gradient_descent_test|lbfgs_test|nmf_test|simplex_lp_test|maxsat_test|sat_solver_test|maxsat_differential_test|lp_edge_test|lp_warm_start_test|dataset_fingerprint_test'
+    -R 'kernel_differential_test|checked_ops_test|solve_edge_test|matrix_test|vector_ops_test|solve_test|gradient_descent_test|nmf_test|simplex_lp_test|maxsat_test|sat_solver_test|maxsat_differential_test|lp_edge_test|lp_warm_start_test|dataset_fingerprint_test'
 
 echo "==> Stage 5: FAIRBENCH_OBS=OFF compile check + kernel differential run"
 cmake -B build-obs-off -S . -DCMAKE_BUILD_TYPE=Release \
@@ -124,8 +124,8 @@ TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
     -R 'artifact_corruption_test|artifact_roundtrip_test'
-# Single schema gate for the committed record (approaches, sharded,
-# zafar_cold_fit, and open_loop blocks) — shared with stage 10.
+# Single schema gate for the committed record (approaches, sharded and
+# open_loop blocks) — shared with stage 10.
 python3 tools/record_bench.py --check-serve BENCH_serve.json
 
 echo "==> Stage 7: Monitoring gate (TSan monitor suites, bench schema)"

@@ -26,11 +26,10 @@ Two input shapes, detected automatically:
    carries the HDR "latency_ns" block (one sample per request, pooled
    across repetitions), each approach gains a "latency_percentiles"
    summary with cold/warm p50/p95/p99 and the histogram's relative error.
-   The "sharded" working-set experiment and the "zafar_cold_fit"
-   dense-vs-sparse deltas are medianed the same way when present, and
-   --open-loop folds a tools/load_gen report (sharded tier under a
-   Poisson arrival schedule with a mid-run hot swap) into the record as
-   its "open_loop" block.
+   The "sharded" working-set experiment is medianed the same way when
+   present, and --open-loop folds a tools/load_gen report (sharded tier
+   under a Poisson arrival schedule with a mid-run hot swap) into the
+   record as its "open_loop" block.
 
 Extra modes:
 
@@ -40,17 +39,17 @@ Extra modes:
    well-formed ref block (numeric ns_per_op/gflops), every opt block must
    be shaped the same with a consistent speedup, and the sparse kernel
    families introduced with the CSR path (SpMV, SpMVT, SpWeightedGramVec,
-   SpSigmoidResidual, ZafarDpFit) must each be present with BOTH a ref and
-   an opt side — a record that silently dropped the sparse benches cannot
+   SpSigmoidResidual) must each be present with BOTH a ref and an opt
+   side — a record that silently dropped the sparse benches cannot
    be committed. Exits 1 with a line per violation.
 
        tools/record_bench.py --check-serve BENCH_serve.json
 
    Schema + health gate for the committed serving record (CI stages 6 and
    10): per-approach warm speedup >= 10 with monotone HDR percentiles,
-   sharded speedup_vs_single >= 3 with fully-warm sharded passes, sparse
-   Zafar cold fits strictly faster than dense, and an open-loop block
-   with zero failed requests and at least one completed mid-run hot swap.
+   sharded speedup_vs_single >= 3 with fully-warm sharded passes, and an
+   open-loop block with zero failed requests and at least one completed
+   mid-run hot swap.
    Exits 1 with a line per violation.
 
        tools/record_bench.py --check-monitor BENCH_monitor.json
@@ -245,25 +244,6 @@ def distill_serve(raw: dict) -> dict:
             "sharded_warm_hits": statistics.median(
                 r["sharded_hits"] for r in reps),
         }
-
-    # Serving cold-fit delta: the three Zafar variants fit dense vs through
-    # the sparse CG-Newton path the serving tier uses (ZafarOptions::
-    # use_sparse_newton via MakeServingPipeline).
-    zafar = raw.get("zafar_cold_fit")
-    if zafar:
-        out["zafar_cold_fit"] = []
-        for entry in zafar:
-            reps = entry["repetitions"]
-            dense = statistics.median(r["dense_fit_seconds"] for r in reps)
-            sparse = statistics.median(r["sparse_fit_seconds"] for r in reps)
-            out["zafar_cold_fit"].append({
-                "id": entry["id"],
-                "repetitions": len(reps),
-                "dense_fit_seconds": round(dense, 6),
-                "sparse_fit_seconds": round(sparse, 6),
-                "sparse_speedup": round(dense / sparse, 2)
-                if sparse > 0 else None,
-            })
     return out
 
 
@@ -286,8 +266,8 @@ def check_serve_record(path: str) -> int:
     """Schema + health gate for the committed BENCH_serve.json (CI stages
     6 and 10). Checks the per-approach warm-cache contract (speedup >= 10,
     monotone HDR percentiles with bounded relative error), the sharded
-    block (speedup_vs_single >= 3 with every sharded pass fully warm), the
-    zafar cold-fit delta (sparse strictly faster), and the open-loop block
+    block (speedup_vs_single >= 3 with every sharded pass fully warm), and
+    the open-loop block
     (zero failed requests, at least one completed hot swap, sane
     percentiles). Returns the number of violations (0 = clean)."""
     errors = []
@@ -352,19 +332,6 @@ def check_serve_record(path: str) -> int:
                           f"{sharded.get('requests_per_rep')})")
         if not sharded.get("mechanism"):
             errors.append("sharded: missing mechanism provenance string")
-
-    zafar = record.get("zafar_cold_fit") or []
-    if not zafar:
-        errors.append("missing zafar_cold_fit block (sparse serving fits)")
-    for entry in zafar:
-        zid = entry.get("id", "?")
-        dense = entry.get("dense_fit_seconds", 0)
-        sparse = entry.get("sparse_fit_seconds", 0)
-        if not (dense > 0 and sparse > 0):
-            errors.append(f"zafar_cold_fit {zid}: non-positive fit time")
-        elif sparse >= dense:
-            errors.append(f"zafar_cold_fit {zid}: sparse fit ({sparse}s) "
-                          f"not faster than dense ({dense}s)")
 
     open_loop = record.get("open_loop")
     if not open_loop:
@@ -653,7 +620,6 @@ _REQUIRED_SPARSE_FAMILIES = (
     "SpMVT",
     "SpWeightedGramVec",
     "SpSigmoidResidual",
-    "ZafarDpFit",
 )
 
 
